@@ -31,6 +31,8 @@ type engineBenchEntry struct {
 	PagesCopied    uint64  `json:"pages_copied"`
 	InstrsReplayed uint64  `json:"instrs_replayed"`
 	InstrsSaved    uint64  `json:"instrs_saved"`
+	Converged      uint64  `json:"converged"`
+	SuffixSkipped  uint64  `json:"suffix_skipped"`
 	GoldenInstrs   uint64  `json:"golden_instrs"`
 }
 
@@ -90,11 +92,13 @@ func benchCampaignEngine(b *testing.B, appName string, eng inject.Engine) {
 	b.ReportMetric(float64(s.PagesCopied), "pages_copied")
 	b.ReportMetric(float64(s.InstrsReplayed), "instrs_replayed")
 	b.ReportMetric(float64(s.InstrsSaved), "instrs_saved")
+	b.ReportMetric(float64(s.SuffixSkipped), "suffix_skipped")
 	mergeEngineBench(b, engineBenchEntry{
 		App: appName, Engine: eng.String(), N: engineBenchN,
 		NsPerOp:   nsPerOp,
 		Waypoints: s.Waypoints, Forks: s.Forks, PagesCopied: s.PagesCopied,
 		InstrsReplayed: s.InstrsReplayed, InstrsSaved: s.InstrsSaved,
+		Converged: s.Converged, SuffixSkipped: s.SuffixSkipped,
 		GoldenInstrs: r.GoldenRetired,
 	})
 }

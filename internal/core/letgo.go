@@ -210,24 +210,45 @@ func Attach(m *vm.Machine, an *pin.Analysis, opts Options) *Runner {
 // uses.
 func (r *Runner) Run(maxInstrs uint64) Result {
 	r.Dbg.ResetResume()
+	if res, ended := r.RunUntil(maxInstrs); ended {
+		return res
+	}
+	return r.End(RunHang)
+}
+
+// RunUntil supervises the run until it halts or dies (ended is true and
+// the Result is recorded like Run's) or until the machine's absolute
+// retired-instruction count reaches until. In that case ended is false
+// and nothing is recorded. The repair budget and events carry over, so
+// the caller may call RunUntil again to resume the same run, or End to
+// finish it.
+func (r *Runner) RunUntil(until uint64) (res Result, ended bool) {
 	for {
-		stop := r.Dbg.Supervise(maxInstrs, r.intercept)
+		stop := r.Dbg.Supervise(until, r.intercept)
 		switch stop.Reason {
 		case debug.StopHalt:
-			return r.result(RunCompleted, vm.SIGNONE)
+			return r.result(RunCompleted, vm.SIGNONE), true
 		case debug.StopBudget:
-			return r.result(RunHang, vm.SIGNONE)
+			return Result{}, false
 		case debug.StopTerminated, debug.StopSignal:
 			// StopSignal here means intercept declined the repair: the
 			// program dies of its crash either way.
-			return r.result(RunCrashed, stop.Signal)
+			return r.result(RunCrashed, stop.Signal), true
 		case debug.StopBreakpoint:
 			// LetGo sets no breakpoints itself; a client (fault injector)
 			// may. Resume transparently.
 		default:
-			return r.result(RunCrashed, stop.Signal)
+			return r.result(RunCrashed, stop.Signal), true
 		}
 	}
+}
+
+// End finishes a run RunUntil paused, recording it with outcome kind:
+// RunHang when the pause was the hang budget, RunCompleted when the
+// caller knows the rest of the run completes (it rejoined the fault-free
+// golden run). Exactly one of End or an ended RunUntil records each run.
+func (r *Runner) End(kind OutcomeKind) Result {
+	return r.result(kind, vm.SIGNONE)
 }
 
 // intercept is the monitor decision (steps 2-4 of the paper's Figure 3),

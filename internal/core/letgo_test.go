@@ -537,3 +537,61 @@ func TestRunnerObsGiveUp(t *testing.T) {
 		t.Errorf("intercepted = %d, want 2", got)
 	}
 }
+
+// TestRunUntilSegmentsOneRun pauses a run after every instruction and
+// checks the segmented run keeps its repair budget and events across
+// pauses, ends exactly like an unsegmented Run, and records one run.
+func TestRunUntilSegmentsOneRun(t *testing.T) {
+	src := `
+	main:
+	    li x1, 0x111110000000
+	    ld x2, [x1]          ; crash 1: elided
+	    li x4, 7
+	    ld x3, [x1]          ; crash 2: the repair budget is spent
+	    halt
+	`
+	want := attach(t, src, Options{Mode: ModeEnhanced}).Run(1 << 16)
+	hub := &obs.Hub{Reg: obs.NewRegistry()}
+	r := attach(t, src, Options{Mode: ModeEnhanced, Obs: hub})
+	var got Result
+	pauses := 0
+	for until := uint64(1); ; until++ {
+		res, ended := r.RunUntil(until)
+		if ended {
+			got = res
+			break
+		}
+		if r.Dbg.M.Retired != until {
+			t.Fatalf("paused at retired %d, want %d", r.Dbg.M.Retired, until)
+		}
+		pauses++
+	}
+	if pauses < 2 {
+		t.Fatalf("run paused %d times, want a pause on each side of the first repair", pauses)
+	}
+	if got.Outcome != want.Outcome || got.Signal != want.Signal || got.Repairs != want.Repairs ||
+		got.Retired != want.Retired || len(got.Events) != len(want.Events) {
+		t.Fatalf("segmented run = %+v, want %+v", got, want)
+	}
+	runs := uint64(0)
+	for _, k := range []OutcomeKind{RunCompleted, RunCrashed, RunHang} {
+		runs += hub.Reg.Counter("letgo_runs_total", "outcome", k.String()).Value()
+	}
+	if runs != 1 {
+		t.Errorf("letgo_runs_total sums to %d over one segmented run, want 1", runs)
+	}
+
+	// A run paused and then ended by its caller records that outcome once.
+	hub = &obs.Hub{Reg: obs.NewRegistry()}
+	r = attach(t, wildLoadSrc, Options{Mode: ModeEnhanced, Obs: hub})
+	if _, ended := r.RunUntil(4); ended {
+		t.Fatal("run ended before its pause point")
+	}
+	res := r.End(RunCompleted)
+	if res.Outcome != RunCompleted || res.Repairs != 1 || len(res.Events) != 1 {
+		t.Fatalf("ended run = %+v, want completed with its one repair", res)
+	}
+	if got := hub.Reg.Counter("letgo_runs_total", "outcome", "completed").Value(); got != 1 {
+		t.Errorf("runs_total{completed} = %d, want 1", got)
+	}
+}

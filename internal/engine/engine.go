@@ -20,6 +20,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/letgo-hpc/letgo/internal/isa"
@@ -45,6 +46,10 @@ const maxWaypoints = 128
 type waypoint struct {
 	retired uint64
 	m       *vm.Machine
+	// dirty lists, ascending, the pages the golden run wrote since the
+	// previous kept waypoint (nil for the initial waypoint): outside
+	// them, this waypoint's memory equals its predecessor's.
+	dirty []uint64
 }
 
 // Golden is the recorded golden execution of one program: the final
@@ -99,7 +104,12 @@ func RecordObs(prog *isa.Program, cfg vm.Config, every, budget uint64, hub *obs.
 		Retired: func(m *vm.Machine, idx int) bool {
 			g.counts[idx]++
 			if !m.Halted && m.Retired%g.Every == 0 {
-				g.waypoints = append(g.waypoints, waypoint{retired: m.Retired, m: m.Fork()})
+				// The recording machine's private pages are exactly those
+				// written since the last waypoint; list them before Fork
+				// seals them.
+				dirty := m.Mem.PrivatePages(nil)
+				slices.Sort(dirty)
+				g.waypoints = append(g.waypoints, waypoint{retired: m.Retired, m: m.Fork(), dirty: dirty})
 				if len(g.waypoints) > maxWaypoints {
 					g.thin()
 				}
@@ -126,16 +136,42 @@ func RecordObs(prog *isa.Program, cfg vm.Config, every, budget uint64, hub *obs.
 }
 
 // thin doubles the waypoint spacing and drops the waypoints that no
-// longer fall on it (the initial waypoint at 0 is always kept).
+// longer fall on it (the initial waypoint at 0 is always kept). A dropped
+// waypoint's dirty pages merge into the next kept one. Waypoints sit at
+// 0, K, ..., maxWaypoints·K when thinning fires, so the newest one is
+// always kept and no dirty page is left without a successor.
 func (g *Golden) thin() {
 	g.Every *= 2
 	kept := g.waypoints[:1]
+	var carry []uint64
 	for _, w := range g.waypoints[1:] {
-		if w.retired%g.Every == 0 {
-			kept = append(kept, w)
+		if w.retired%g.Every != 0 {
+			carry = union(carry, w.dirty)
+			continue
 		}
+		w.dirty = union(carry, w.dirty)
+		carry = nil
+		kept = append(kept, w)
 	}
 	g.waypoints = kept
+}
+
+// union merges two ascending page lists into a new ascending list
+// without duplicates.
+func union(a, b []uint64) []uint64 {
+	out := make([]uint64, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case b[0] < a[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
+	}
+	out = append(out, a...)
+	return append(out, b...)
 }
 
 // Profile returns the pin.Profile observed during recording — identical
@@ -168,6 +204,91 @@ func (g *Golden) NearestRetired(retired uint64) uint64 {
 func (g *Golden) ForkAt(retired uint64) (*vm.Machine, uint64) {
 	w := g.waypoints[g.nearest(retired)]
 	return w.m.Fork(), w.retired
+}
+
+// Rejoin checks one injected run against the golden run at the
+// waypoints after its injection. A run that matches golden exactly at a
+// waypoint executes the rest of the golden run from there, so the fork
+// engine stops it: its outcome is the golden run's.
+//
+// The run's memory must descend from golden state: forked (ForkAt,
+// replay, Fork) at the retirement count passed to Golden.Rejoin, so its
+// private pages are every page it wrote since. A Rejoin belongs to one
+// run and is not safe for concurrent use.
+type Rejoin struct {
+	g     *Golden
+	base  int      // waypoint the run's starting state descends from
+	next  int      // waypoint Next last returned
+	pages []uint64 // reused buffer for the run's private page list
+}
+
+// Rejoin returns the convergence check for a run whose memory was
+// forked from golden state at retirement count from.
+func (g *Golden) Rejoin(from uint64) *Rejoin {
+	j := g.nearest(from)
+	return &Rejoin{g: g, base: j, next: j}
+}
+
+// Golden returns the golden run r checks against.
+func (r *Rejoin) Golden() *Golden { return r.g }
+
+// Next returns the retirement count of the first waypoint strictly after
+// retired and strictly below limit. ok is false when there is none (and
+// always for a nil Rejoin, so a run with no golden run to rejoin executes
+// in one segment).
+func (r *Rejoin) Next(retired, limit uint64) (next uint64, ok bool) {
+	if r == nil {
+		return 0, false
+	}
+	wps := r.g.waypoints
+	for r.next < len(wps) && wps[r.next].retired <= retired {
+		r.next++
+	}
+	if r.next == len(wps) || wps[r.next].retired >= limit {
+		return 0, false
+	}
+	return wps[r.next].retired, true
+}
+
+// Matches reports whether m, paused at the waypoint Next last returned,
+// equals the golden machine there exactly: PC, halt flag, retirement
+// count, integer registers, float registers bitwise, and every page that
+// either the run or the golden run wrote since the run's starting state.
+// Any other page is untouched on both sides, hence equal.
+func (r *Rejoin) Matches(m *vm.Machine) bool {
+	if r.next >= len(r.g.waypoints) {
+		return false
+	}
+	w := r.g.waypoints[r.next]
+	gm := w.m
+	if m.Retired != w.retired || m.PC != gm.PC || m.Halted != gm.Halted || m.X != gm.X {
+		return false
+	}
+	for i := range m.F {
+		if math.Float64bits(m.F[i]) != math.Float64bits(gm.F[i]) {
+			return false
+		}
+	}
+	r.pages = m.Mem.PrivatePages(r.pages[:0])
+	if !samePages(m, gm, r.pages) {
+		return false
+	}
+	for _, wp := range r.g.waypoints[r.base+1 : r.next+1] {
+		if !samePages(m, gm, wp.dirty) {
+			return false
+		}
+	}
+	return true
+}
+
+// samePages reports whether m and gm agree on every listed page.
+func samePages(m, gm *vm.Machine, pages []uint64) bool {
+	for _, idx := range pages {
+		if !m.Mem.SamePage(gm.Mem, idx) {
+			return false
+		}
+	}
+	return true
 }
 
 // PagesCopied reports the COW page copies charged to the golden recording

@@ -1,12 +1,16 @@
 package engine
 
 import (
+	"bytes"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"github.com/letgo-hpc/letgo/internal/apps"
 	"github.com/letgo-hpc/letgo/internal/debug"
 	"github.com/letgo-hpc/letgo/internal/isa"
+	"github.com/letgo-hpc/letgo/internal/mem"
 	"github.com/letgo-hpc/letgo/internal/pin"
 	"github.com/letgo-hpc/letgo/internal/vm"
 )
@@ -166,4 +170,118 @@ func TestConcurrentForkAtIsSafe(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// segmentBytes reads every mapped byte of m, segment by segment.
+func segmentBytes(t *testing.T, m *vm.Machine) map[mem.Segment][]byte {
+	t.Helper()
+	out := map[mem.Segment][]byte{}
+	for _, s := range m.Mem.Segments() {
+		b, err := m.Mem.ReadBytes(s.Base, s.Size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[s] = b
+	}
+	return out
+}
+
+// TestDirtySetsCoverChangedPages checks, at every kept waypoint of a
+// thinned ladder, that each page whose bytes differ from the previous
+// kept waypoint is in that waypoint's dirty set.
+func TestDirtySetsCoverChangedPages(t *testing.T) {
+	g := record(t, "SNAP", 16) // far too fine: thins several times
+	if g.Every == 16 {
+		t.Fatal("ladder never thinned")
+	}
+	prev := segmentBytes(t, g.waypoints[0].m)
+	changed := 0
+	for i, w := range g.waypoints[1:] {
+		if !slices.IsSorted(w.dirty) {
+			t.Fatalf("waypoint %d: dirty set not ascending", i+1)
+		}
+		cur := segmentBytes(t, w.m)
+		for s, b := range cur {
+			p := prev[s]
+			for addr := s.Base; addr < s.End(); {
+				end := min((addr/mem.PageSize+1)*mem.PageSize, s.End())
+				lo, hi := addr-s.Base, end-s.Base
+				if !bytes.Equal(b[lo:hi], p[lo:hi]) {
+					changed++
+					if _, ok := slices.BinarySearch(w.dirty, addr/mem.PageSize); !ok {
+						t.Fatalf("waypoint %d (retired %d): page %#x changed but is not dirty",
+							i+1, w.retired, addr/mem.PageSize)
+					}
+				}
+				addr = end
+			}
+		}
+		prev = cur
+	}
+	if changed == 0 {
+		t.Fatal("no page changed between waypoints: the check compared nothing")
+	}
+}
+
+// TestRejoinMatchesOnlyGoldenState drives forks of the golden run from
+// one position to the next waypoint: an untouched fork rejoins, and a
+// fork with one flipped register bit or one flipped memory bit does not.
+func TestRejoinMatchesOnlyGoldenState(t *testing.T) {
+	g := record(t, "SNAP", 1000)
+	from := g.waypoints[3].retired + 17
+	run := func(corrupt func(m *vm.Machine)) bool {
+		t.Helper()
+		f, _ := g.ForkAt(from)
+		d := debug.New(f)
+		if stop := d.RunToDynamic(from); stop != nil {
+			t.Fatalf("replay stopped: %+v", stop)
+		}
+		m := f.Fork()
+		corrupt(m)
+		rj := g.Rejoin(from)
+		next, ok := rj.Next(m.Retired, g.Retired)
+		if !ok || next != g.waypoints[4].retired {
+			t.Fatalf("Next = %d, %v; want waypoint 4 at %d", next, ok, g.waypoints[4].retired)
+		}
+		if stop := debug.New(m).Continue(next); stop.Reason != debug.StopBudget {
+			t.Fatalf("run to %d stopped: %+v", next, stop)
+		}
+		return rj.Matches(m)
+	}
+	if !run(func(*vm.Machine) {}) {
+		t.Error("clean fork did not rejoin the golden run")
+	}
+	if run(func(m *vm.Machine) { m.F[3] = math.Float64frombits(math.Float64bits(m.F[3]) ^ 1<<40) }) {
+		t.Error("fork with a flipped float register rejoined")
+	}
+	// The last heap word: the program never touches its page. Writing
+	// zero materializes an all-zero page, which still equals golden's
+	// untouched one; writing a set bit does not.
+	last := isa.HeapBase + isa.DefaultHeapBytes - 8
+	if !run(func(m *vm.Machine) { m.Mem.Write8(last, 0) }) {
+		t.Error("fork with a materialized zero page did not rejoin")
+	}
+	if run(func(m *vm.Machine) { m.Mem.Write8(last, 1<<7) }) {
+		t.Error("fork with a flipped memory bit rejoined")
+	}
+
+	// Registers moved to the waypoint without executing: the run wrote
+	// nothing, so only the golden run's dirty pages show what is missing.
+	f, _ := g.ForkAt(from)
+	if stop := debug.New(f).RunToDynamic(from); stop != nil {
+		t.Fatalf("replay stopped: %+v", stop)
+	}
+	m := f.Fork()
+	rj := g.Rejoin(from)
+	if _, ok := rj.Next(m.Retired, g.Retired); !ok {
+		t.Fatal("no waypoint after the fork")
+	}
+	w := g.waypoints[4].m
+	if len(g.waypoints[4].dirty) == 0 {
+		t.Fatal("golden wrote no page before waypoint 4")
+	}
+	m.X, m.F, m.PC, m.Retired = w.X, w.F, w.PC, w.Retired
+	if rj.Matches(m) {
+		t.Error("a fork missing the golden run's writes rejoined")
+	}
 }

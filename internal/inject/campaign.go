@@ -180,6 +180,10 @@ type Campaign struct {
 	// body just before plan i executes. It exists so tests can inject
 	// harness faults (panics, stalls) at precise points.
 	beforeInjection func(i int)
+	// afterConverged, when non-nil, receives every fork-engine run i that
+	// rejoined the golden run, paused where it matched, with the golden
+	// final machine. It exists so tests can run the rest anyway.
+	afterConverged func(i int, run, goldenFinal *vm.Machine)
 }
 
 // EngineStats describes the execution-substrate work of one campaign.
@@ -201,6 +205,11 @@ type EngineStats struct {
 	// InstrsSaved counts prefix instructions the rerun engine would have
 	// executed but the fork engine did not.
 	InstrsSaved uint64
+	// Converged counts injected runs stopped early because their state
+	// rejoined the golden run at a waypoint; SuffixSkipped counts the
+	// suffix instructions those runs therefore did not execute.
+	Converged     uint64
+	SuffixSkipped uint64
 }
 
 // Result summarizes a campaign.
@@ -375,7 +384,7 @@ func (c *Campaign) registerMetrics() {
 	for _, sig := range []vm.Signal{vm.SIGSEGV, vm.SIGBUS, vm.SIGABRT, vm.SIGFPE} {
 		reg.Counter("letgo_vm_traps_total", "signal", sig.String())
 	}
-	reg.Help("letgo_vm_retired_instructions_total", "Instructions retired across injected runs.")
+	reg.Help("letgo_vm_retired_instructions_total", "Suffix instructions injected runs executed, from the injection site to halt, crash, hang or golden convergence.")
 	reg.Counter("letgo_vm_retired_instructions_total")
 	reg.Help("letgo_engine_forks_total", "Machine forks taken by the execution engine (waypoints, positioning, per-run).")
 	reg.Counter("letgo_engine_forks_total")
@@ -385,6 +394,10 @@ func (c *Campaign) registerMetrics() {
 	reg.Counter("letgo_engine_instructions_replayed_total")
 	reg.Help("letgo_engine_instructions_saved_total", "Prefix instructions the fork engine avoided versus rerun.")
 	reg.Counter("letgo_engine_instructions_saved_total")
+	reg.Help("letgo_engine_converged_total", "Injected runs stopped early because their state rejoined the golden run.")
+	reg.Counter("letgo_engine_converged_total")
+	reg.Help("letgo_engine_suffix_instructions_skipped_total", "Suffix instructions converged runs did not execute.")
+	reg.Counter("letgo_engine_suffix_instructions_skipped_total")
 	reg.Help("letgo_resume_skipped_total", "Injections restored from the resume journal instead of re-executed.")
 	reg.Counter("letgo_resume_skipped_total")
 	reg.Help("letgo_resume_journaled_total", "Injections appended to the resume journal.")

@@ -4,12 +4,15 @@ package inject_test
 // results are byte-identical to the rerun engine's, for every built-in
 // app, every supervision mode, and any worker count. This is the
 // acceptance test for that contract — it compares the full Result
-// (counts, liveness splits, signal histograms, crash latencies, metrics)
-// and the rendered report tables across the 4-way engine x workers grid.
+// (counts, liveness splits, signal histograms, crash latencies, metrics),
+// the rendered report tables and every injection's observation across
+// the engine x workers grid, including a dense waypoint ladder that
+// exercises golden-convergence matching and thinning at fine spacing.
 
 import (
 	"bytes"
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/letgo-hpc/letgo/internal/apps"
@@ -35,6 +38,24 @@ func renderTable(t *testing.T, r *inject.Result) string {
 	return buf.String()
 }
 
+// observations records every injection's observation by plan index,
+// without the worker that ran it (which depends on scheduling).
+type observations struct {
+	mu   sync.Mutex
+	byIx map[int]inject.Execution
+}
+
+func (o *observations) Phase(string)             {}
+func (o *observations) Planned(int, inject.Plan) {}
+func (o *observations) Done(*inject.Result)      {}
+func (o *observations) Failed(string, error)     {}
+func (o *observations) Executed(e inject.Execution) {
+	e.Worker = 0
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.byIx[e.Index] = e
+}
+
 func TestEngineEquivalenceAllAppsAllModes(t *testing.T) {
 	n := 40
 	if testing.Short() {
@@ -48,37 +69,52 @@ func TestEngineEquivalenceAllAppsAllModes(t *testing.T) {
 				type cfg struct {
 					engine  inject.Engine
 					workers int
+					every   uint64
 				}
 				grid := []cfg{
-					{inject.EngineFork, 1},
-					{inject.EngineFork, 8},
-					{inject.EngineRerun, 1},
-					{inject.EngineRerun, 8},
+					{inject.EngineFork, 1, 0},
+					{inject.EngineFork, 8, 0},
+					{inject.EngineFork, 1, 64},
+					{inject.EngineRerun, 1, 0},
+					{inject.EngineRerun, 8, 0},
 				}
 				var ref inject.Result
 				var refTable string
+				var refObs map[int]inject.Execution
 				for gi, g := range grid {
+					obs := &observations{byIx: map[int]inject.Execution{}}
 					c := &inject.Campaign{
 						App: app, Mode: mode, N: n, Seed: 1234,
-						Workers: g.workers, Engine: g.engine,
+						Workers: g.workers, Engine: g.engine, WaypointEvery: g.every,
+						Observer: obs,
 					}
 					r, err := c.Run()
 					if err != nil {
-						t.Fatalf("engine=%v workers=%d: %v", g.engine, g.workers, err)
+						t.Fatalf("engine=%v workers=%d every=%d: %v", g.engine, g.workers, g.every, err)
 					}
 					got := normalize(r)
 					table := renderTable(t, r)
+					if len(obs.byIx) != n {
+						t.Fatalf("engine=%v workers=%d every=%d: observed %d injections, want %d",
+							g.engine, g.workers, g.every, len(obs.byIx), n)
+					}
 					if gi == 0 {
-						ref, refTable = got, table
+						ref, refTable, refObs = got, table, obs.byIx
 						continue
 					}
+					for i, o := range obs.byIx {
+						if o != refObs[i] {
+							t.Errorf("engine=%v workers=%d every=%d: injection %d observed %+v, fork/1 %+v",
+								g.engine, g.workers, g.every, i, o, refObs[i])
+						}
+					}
 					if !reflect.DeepEqual(got, ref) {
-						t.Errorf("engine=%v workers=%d: result diverges from fork/1:\n%+v\nvs\n%+v",
-							g.engine, g.workers, got, ref)
+						t.Errorf("engine=%v workers=%d every=%d: result diverges from fork/1:\n%+v\nvs\n%+v",
+							g.engine, g.workers, g.every, got, ref)
 					}
 					if table != refTable {
-						t.Errorf("engine=%v workers=%d: rendered table diverges:\n%s\nvs\n%s",
-							g.engine, g.workers, table, refTable)
+						t.Errorf("engine=%v workers=%d every=%d: rendered table diverges:\n%s\nvs\n%s",
+							g.engine, g.workers, g.every, table, refTable)
 					}
 				}
 			})

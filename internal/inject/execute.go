@@ -96,6 +96,8 @@ func (c *Campaign) ExecuteContext(ctx context.Context, p *PlannedCampaign, unit 
 		c.Obs.Counter("letgo_engine_pages_copied_total").Add(estats.PagesCopied)
 		c.Obs.Counter("letgo_engine_instructions_replayed_total").Add(estats.InstrsReplayed)
 		c.Obs.Counter("letgo_engine_instructions_saved_total").Add(estats.InstrsSaved)
+		c.Obs.Counter("letgo_engine_converged_total").Add(estats.Converged)
+		c.Obs.Counter("letgo_engine_suffix_instructions_skipped_total").Add(estats.SuffixSkipped)
 	}
 
 	res = c.aggregate(p, unit, results, completed, resumed, estats)
@@ -280,21 +282,26 @@ func (c *Campaign) runRerun(ctx context.Context, p *PlannedCampaign, idx []int, 
 // replay machine handed back to the worker, and the engine-stat deltas
 // the step contributed.
 type forkStep struct {
-	r        injResult
-	cur      *vm.Machine
-	dbg      *debug.Debugger
-	forks    uint64
-	pages    uint64
-	replayed uint64
-	saved    uint64
+	r         injResult
+	cur       *vm.Machine
+	dbg       *debug.Debugger
+	forks     uint64
+	pages     uint64
+	replayed  uint64
+	saved     uint64
+	converged uint64
+	skipped   uint64
 }
 
 // forkOne positions a replay machine at the injection's dynamic index
 // (re-forking from a waypoint when one leapfrogs the machine), runs the
-// injection on a COW fork of it, and classifies the outcome.
-func (c *Campaign) forkOne(p *PlannedCampaign, plan Plan, when uint64, cur *vm.Machine, curDbg *debug.Debugger) (forkStep, error) {
+// injection on a COW fork of it until it ends or rejoins the golden run,
+// and classifies the outcome.
+func (c *Campaign) forkOne(p *PlannedCampaign, i int, when uint64, cur *vm.Machine, curDbg *debug.Debugger) (forkStep, error) {
 	var out forkStep
+	plan := p.Plans[i]
 	gold := p.gold
+	spReplay := c.Obs.StartSpan("replay", "engine", "fork")
 	// Re-fork only when a waypoint is strictly ahead of the replay
 	// machine; otherwise stepping forward is cheaper.
 	if cur == nil || gold.NearestRetired(when) > cur.Retired {
@@ -311,13 +318,21 @@ func (c *Campaign) forkOne(p *PlannedCampaign, plan Plan, when uint64, cur *vm.M
 	}
 	out.replayed += when - replayFrom
 	out.saved += replayFrom
+	spReplay.End()
 	runM := cur.Fork()
 	out.forks++
 	spExec := c.Obs.StartSpan("execute", "engine", "fork")
-	ro, err := executeAt(gold.Prog, p.an, plan, c.Mode, c.Opts, p.Budget, c.Obs, runM)
+	ro, err := executeAt(gold.Prog, p.an, plan, c.Mode, c.Opts, p.Budget, c.Obs, runM, gold.Rejoin(when))
 	spExec.End()
 	if err != nil {
 		return out, err
+	}
+	if ro.Converged {
+		out.converged++
+		out.skipped += ro.Skipped
+		if c.afterConverged != nil {
+			c.afterConverged(i, ro.Machine, gold.Final)
+		}
 	}
 	r, pages, err := c.classify(p, &ro)
 	if err != nil {
@@ -346,7 +361,9 @@ func (c *Campaign) runFork(ctx context.Context, p *PlannedCampaign, idx []int, w
 	for k, i := range idx {
 		sites[k] = p.Plans[i].Site
 	}
+	spResolve := c.Obs.StartSpan("resolve", "app", c.App.Name)
 	whens, err := gold.ResolveWhens(sites)
+	spResolve.End()
 	if err != nil {
 		return err
 	}
@@ -363,7 +380,7 @@ func (c *Campaign) runFork(ctx context.Context, p *PlannedCampaign, idx []int, w
 		return order[a] < order[b]
 	})
 
-	var forks, pagesCopied, instrsReplayed, instrsSaved atomic.Uint64
+	var forks, pagesCopied, instrsReplayed, instrsSaved, converged, skipped atomic.Uint64
 	errs := make([]error, workers)
 	var failed atomic.Bool
 	var wg sync.WaitGroup
@@ -393,7 +410,7 @@ func (c *Campaign) runFork(ctx context.Context, p *PlannedCampaign, idx []int, w
 					if c.beforeInjection != nil {
 						c.beforeInjection(i)
 					}
-					return c.forkOne(p, p.Plans[i], when, bodyCur, bodyDbg)
+					return c.forkOne(p, i, when, bodyCur, bodyDbg)
 				})
 				if err != nil {
 					errs[w] = err
@@ -410,6 +427,8 @@ func (c *Campaign) runFork(ctx context.Context, p *PlannedCampaign, idx []int, w
 					pagesCopied.Add(out.pages)
 					instrsReplayed.Add(out.replayed)
 					instrsSaved.Add(out.saved)
+					converged.Add(out.converged)
+					skipped.Add(out.skipped)
 					r = out.r
 				}
 				results[i] = r
@@ -432,6 +451,8 @@ func (c *Campaign) runFork(ctx context.Context, p *PlannedCampaign, idx []int, w
 	estats.PagesCopied = gold.PagesCopied() + pagesCopied.Load()
 	estats.InstrsReplayed = instrsReplayed.Load()
 	estats.InstrsSaved = instrsSaved.Load()
+	estats.Converged = converged.Load()
+	estats.SuffixSkipped = skipped.Load()
 	return nil
 }
 
@@ -540,9 +561,7 @@ type injResult struct {
 
 // one executes and classifies a single injection on the rerun engine.
 func (c *Campaign) one(p *PlannedCampaign, plan Plan) (injResult, error) {
-	spExec := c.Obs.StartSpan("execute", "engine", "rerun")
 	ro, err := executeHub(p.prog, p.an, plan, c.Mode, c.Opts, p.Budget, c.Obs)
-	spExec.End()
 	if err != nil {
 		return injResult{}, err
 	}
@@ -568,7 +587,11 @@ func (c *Campaign) classify(p *PlannedCampaign, ro *RunOutcome) (injResult, uint
 	if ro.Repaired && sig == vm.SIGNONE {
 		sig = vm.SIGSEGV // at least one crash was elided; exact signal in events
 	}
-	if ro.Finished {
+	if ro.Converged {
+		// The run's final state is the golden run's, which passed its
+		// acceptance check when the campaign was planned.
+		rec.CheckPassed, rec.MatchesGolden = true, p.goldenSelfMatch
+	} else if ro.Finished {
 		pass, err := c.App.Accept(ro.Machine)
 		if err != nil {
 			return injResult{}, 0, err

@@ -12,6 +12,7 @@ import (
 
 	"github.com/letgo-hpc/letgo/internal/core"
 	"github.com/letgo-hpc/letgo/internal/debug"
+	"github.com/letgo-hpc/letgo/internal/engine"
 	"github.com/letgo-hpc/letgo/internal/isa"
 	"github.com/letgo-hpc/letgo/internal/obs"
 	"github.com/letgo-hpc/letgo/internal/pin"
@@ -173,6 +174,12 @@ type RunOutcome struct {
 	// founding observation is that this latency is small.
 	CrashLatency uint64
 	HasLatency   bool
+	// Converged reports that the run's whole state matched the golden
+	// run's at a waypoint, so the fork engine stopped it there: it
+	// finishes as golden does, and Retired is the golden count. Skipped
+	// counts the suffix instructions it therefore did not execute.
+	Converged bool
+	Skipped   uint64
 }
 
 // Execute performs one injection run: break at the planned site, step the
@@ -207,8 +214,10 @@ func attachSupervision(m *vm.Machine, an *pin.Analysis, mode Mode, override *cor
 // executeHub is Execute with an optional LetGo option override (used by
 // campaigns running heuristic ablations) and optional observability sinks
 // threaded into the machine and the LetGo runner. It is the rerun path:
-// the whole prefix up to the injection site is re-executed from PC 0.
+// the whole prefix up to the injection site is re-executed from PC 0
+// (the replay span), then the injected suffix runs (the execute span).
 func executeHub(prog *isa.Program, an *pin.Analysis, plan Plan, mode Mode, override *core.Options, budget uint64, hub *obs.Hub) (RunOutcome, error) {
+	spReplay := hub.StartSpan("replay", "engine", "rerun")
 	m, err := vm.New(prog, vm.Config{})
 	if err != nil {
 		return RunOutcome{}, err
@@ -222,26 +231,37 @@ func executeHub(prog *isa.Program, an *pin.Analysis, plan Plan, mode Mode, overr
 		return RunOutcome{}, fmt.Errorf("inject: never reached site %+v (stop %v)", plan.Site, stop.Reason)
 	}
 	dbg.ClearBreakpoint(plan.Site.Addr)
-	return corruptAndContinue(prog, an, plan, dbg, runner, budget, hub)
+	spReplay.End()
+	defer hub.StartSpan("execute", "engine", "rerun").End()
+	return corruptAndContinue(prog, an, plan, dbg, runner, budget, hub, nil)
 }
 
 // executeAt is the fork-replay counterpart of executeHub: it runs one
 // injection on a machine that a scheduler has already positioned at the
-// injection site (PC at the site's address, about to execute it).
-func executeAt(prog *isa.Program, an *pin.Analysis, plan Plan, mode Mode, override *core.Options, budget uint64, hub *obs.Hub, m *vm.Machine) (RunOutcome, error) {
+// injection site (PC at the site's address, about to execute it). rj
+// checks the run against the golden run it was forked from.
+func executeAt(prog *isa.Program, an *pin.Analysis, plan Plan, mode Mode, override *core.Options, budget uint64, hub *obs.Hub, m *vm.Machine, rj *engine.Rejoin) (RunOutcome, error) {
 	if m.PC != plan.Site.Addr {
 		return RunOutcome{}, fmt.Errorf("inject: fork positioned at pc %#x, want site %#x", m.PC, plan.Site.Addr)
 	}
 	dbg, runner := attachSupervision(m, an, mode, override, hub)
-	return corruptAndContinue(prog, an, plan, dbg, runner, budget, hub)
+	return corruptAndContinue(prog, an, plan, dbg, runner, budget, hub, rj)
 }
 
 // corruptAndContinue executes the target instruction, flips the planned
 // bits in its destination register, and continues the run to an end state
 // under the attached supervision. On entry the machine must be stopped
 // exactly at the injection site.
-func corruptAndContinue(prog *isa.Program, an *pin.Analysis, plan Plan, dbg *debug.Debugger, runner *core.Runner, budget uint64, hub *obs.Hub) (RunOutcome, error) {
+//
+// With a Rejoin the suffix runs in segments that end at each golden
+// waypoint below the hang budget. A run whose whole state equals the
+// golden run's at a boundary has rejoined it: the golden suffix never
+// traps, so the run would finish exactly as golden does. It stops there,
+// Finished with the golden Retired count; repairs and crash latency so
+// far stand. A nil Rejoin runs the suffix in one segment.
+func corruptAndContinue(prog *isa.Program, an *pin.Analysis, plan Plan, dbg *debug.Debugger, runner *core.Runner, budget uint64, hub *obs.Hub, rj *engine.Rejoin) (RunOutcome, error) {
 	m := dbg.M
+	site := m.Retired
 	// Execute the target instruction, then corrupt its destination.
 	if s := dbg.StepInstr(); s != nil {
 		return RunOutcome{}, fmt.Errorf("inject: target instruction itself stopped: %v", s.Reason)
@@ -252,39 +272,86 @@ func corruptAndContinue(prog *isa.Program, an *pin.Analysis, plan Plan, dbg *deb
 
 	out := RunOutcome{Plan: plan, Machine: m}
 	out.DestLive, _ = an.DestLiveAt(plan.Site.Addr)
-	if runner != nil {
-		res := runner.Run(budget)
-		out.Repaired = res.Repairs > 0
-		out.Signal = res.Signal
-		out.Finished = res.Outcome == core.RunCompleted
-		out.Hang = res.Outcome == core.RunHang
-		if len(res.Events) > 0 {
-			out.CrashLatency = res.Events[0].Retired - injectedAt
-			out.HasLatency = true
-		} else if res.Outcome == core.RunCrashed {
-			out.CrashLatency = m.Retired - injectedAt
-			out.HasLatency = true
+	for {
+		limit, ok := rj.Next(m.Retired, budget)
+		if !ok {
+			limit = budget
 		}
-	} else {
-		stop := dbg.Continue(budget)
-		switch stop.Reason {
-		case debug.StopHalt:
-			out.Finished = true
-		case debug.StopBudget:
-			out.Hang = true
-		case debug.StopTerminated:
-			out.Signal = stop.Signal
-			out.CrashLatency = m.Retired - injectedAt
-			out.HasLatency = true
-		default:
-			return RunOutcome{}, fmt.Errorf("inject: unexpected stop %v", stop.Reason)
+		ended, err := out.advance(dbg, runner, limit, budget, injectedAt)
+		if err != nil {
+			return RunOutcome{}, err
+		}
+		if ended {
+			break
+		}
+		if rj.Matches(m) {
+			out.Converged, out.Finished = true, true
+			if runner != nil {
+				out.supervised(runner.End(core.RunCompleted), m, injectedAt)
+			}
+			break
 		}
 	}
 	out.Retired = m.Retired
+	if out.Converged {
+		out.Retired = rj.Golden().Retired
+		out.Skipped = out.Retired - m.Retired
+	}
 	if hub != nil {
-		hub.Counter("letgo_vm_retired_instructions_total").Add(m.Retired)
+		hub.Counter("letgo_vm_retired_instructions_total").Add(m.Retired - site)
 	}
 	return out, nil
+}
+
+// advance runs the injected suffix until the absolute retirement count
+// limit. It reports ended once the run halted, crashed, or hung (reached
+// limit == budget), with out filled in; otherwise the run paused at
+// limit and can resume.
+func (out *RunOutcome) advance(dbg *debug.Debugger, runner *core.Runner, limit, budget, injectedAt uint64) (ended bool, err error) {
+	m := dbg.M
+	if runner != nil {
+		res, ended := runner.RunUntil(limit)
+		if !ended {
+			if limit < budget {
+				return false, nil
+			}
+			res = runner.End(core.RunHang)
+		}
+		out.supervised(res, m, injectedAt)
+		return true, nil
+	}
+	stop := dbg.Continue(limit)
+	switch stop.Reason {
+	case debug.StopHalt:
+		out.Finished = true
+	case debug.StopBudget:
+		if limit < budget {
+			return false, nil
+		}
+		out.Hang = true
+	case debug.StopTerminated:
+		out.Signal = stop.Signal
+		out.CrashLatency = m.Retired - injectedAt
+		out.HasLatency = true
+	default:
+		return false, fmt.Errorf("inject: unexpected stop %v", stop.Reason)
+	}
+	return true, nil
+}
+
+// supervised fills out from the LetGo runner's result.
+func (out *RunOutcome) supervised(res core.Result, m *vm.Machine, injectedAt uint64) {
+	out.Repaired = res.Repairs > 0
+	out.Signal = res.Signal
+	out.Finished = res.Outcome == core.RunCompleted
+	out.Hang = res.Outcome == core.RunHang
+	if len(res.Events) > 0 {
+		out.CrashLatency = res.Events[0].Retired - injectedAt
+		out.HasLatency = true
+	} else if res.Outcome == core.RunCrashed {
+		out.CrashLatency = m.Retired - injectedAt
+		out.HasLatency = true
+	}
 }
 
 // flipDest XORs mask into the destination register of in.

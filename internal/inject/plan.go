@@ -50,6 +50,10 @@ type PlannedCampaign struct {
 	gold      *engine.Golden // non-nil only for the fork engine
 	goldenOut []float64
 	stateSet  *analysis.StateSet
+	// goldenSelfMatch is whether the golden output matches itself under
+	// the app's tolerance (false only for NaN or infinite outputs): the
+	// verdict for a run that rejoined the golden run.
+	goldenSelfMatch bool
 }
 
 // PlanManifest is the serializable view of a PlannedCampaign: the
@@ -272,6 +276,7 @@ func (c *Campaign) checkGolden(p *PlannedCampaign, gm *vm.Machine) error {
 	if p.goldenOut, err = c.App.Output(gm); err != nil {
 		return err
 	}
+	p.goldenSelfMatch = c.App.MatchesGolden(p.goldenOut, p.goldenOut)
 	p.GoldenRetired = gm.Retired
 	p.Budget = uint64(float64(gm.Retired)*factor) + 100_000
 	return nil

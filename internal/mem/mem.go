@@ -10,9 +10,11 @@
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -224,8 +226,10 @@ func (m *Memory) check(addr, size uint64, write bool) error {
 // readPage returns the current backing page for addr without allocating:
 // the private copy if one exists, else the newest frozen version, else nil
 // (an untouched, all-zero page).
-func (m *Memory) readPage(addr uint64) []byte {
-	idx := addr / PageSize
+func (m *Memory) readPage(addr uint64) []byte { return m.page(addr / PageSize) }
+
+// page is readPage by page index.
+func (m *Memory) page(idx uint64) []byte {
 	if p, ok := m.pages[idx]; ok {
 		return p
 	}
@@ -389,6 +393,40 @@ func (m *Memory) WriteBytes(addr uint64, b []byte) error {
 // table). Historically a deep O(pages) copy; it is now a compatibility
 // shim over the copy-on-write Fork, with identical observable semantics.
 func (m *Memory) Snapshot() *Memory { return m.Fork() }
+
+// PrivatePages appends to dst, in no particular order, the indices of
+// m's private pages: every page written since m was created or last
+// forked. A memory forked from a known state therefore differs from that
+// state at most on these pages.
+func (m *Memory) PrivatePages(dst []uint64) []uint64 {
+	dst = slices.Grow(dst, len(m.pages))
+	for idx := range m.pages {
+		dst = append(dst, idx)
+	}
+	return dst
+}
+
+// zeroPage is what an untouched page reads as.
+var zeroPage [PageSize]byte
+
+// SamePage reports whether page idx holds the same bytes in m and o.
+// Pages sharing one backing array compare equal without being read, and
+// a page never materialized counts as zeros. It uses neither memory's
+// access caches, so o may be a frozen waypoint other goroutines fork.
+func (m *Memory) SamePage(o *Memory, idx uint64) bool {
+	a, b := m.page(idx), o.page(idx)
+	switch {
+	case a == nil && b == nil:
+		return true
+	case a == nil:
+		return bytes.Equal(b, zeroPage[:])
+	case b == nil:
+		return bytes.Equal(a, zeroPage[:])
+	case &a[0] == &b[0]:
+		return true
+	}
+	return bytes.Equal(a, b)
+}
 
 // TouchedPages returns the number of distinct pages materialized for this
 // memory, counting private pages and every page reachable through the

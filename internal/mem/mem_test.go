@@ -3,6 +3,7 @@ package mem
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -345,5 +346,65 @@ func TestSnapshotIsForkShim(t *testing.T) {
 	}
 	if v, _ := s.Read8(0x10000); v != 42 {
 		t.Fatalf("snapshot = %d, want 42", v)
+	}
+}
+
+func TestPrivatePagesListsWritesSinceFork(t *testing.T) {
+	m := newMapped(t)
+	m.Write8(0x10000, 1)
+	m.Write8(0x12008, 2)
+	got := m.PrivatePages(nil)
+	slices.Sort(got)
+	if want := []uint64{0x10, 0x12}; !slices.Equal(got, want) {
+		t.Fatalf("root private pages = %#x, want %#x", got, want)
+	}
+	c := m.Fork()
+	if got := c.PrivatePages(nil); len(got) != 0 {
+		t.Fatalf("fresh fork has private pages %#x", got)
+	}
+	if got := m.PrivatePages(nil); len(got) != 0 {
+		t.Fatalf("parent keeps private pages %#x after sealing", got)
+	}
+	c.Write8(0x12010, 3)
+	if got := c.PrivatePages([]uint64{7}); !slices.Equal(got, []uint64{7, 0x12}) {
+		t.Fatalf("PrivatePages appended %#x, want [0x7 0x12]", got)
+	}
+}
+
+func TestSamePage(t *testing.T) {
+	const idx = 0x11 // a page of the globals segment
+	const addr = idx * PageSize
+	a := newMapped(t)
+	b := a.Fork()
+	if !a.SamePage(b, idx) {
+		t.Fatal("pages neither memory touched differ")
+	}
+	// An untouched (nil) page against a materialized all-zero page.
+	b.Write8(addr+8, 0)
+	if !a.SamePage(b, idx) || !b.SamePage(a, idx) {
+		t.Fatal("untouched page differs from a materialized zero page")
+	}
+	// Frozen pages shared by pointer compare equal.
+	a.Write8(addr, 42)
+	c, d := a.Fork(), a.Fork()
+	if !c.SamePage(d, idx) {
+		t.Fatal("forks sharing a frozen page differ")
+	}
+	if c.SamePage(b, idx) || b.SamePage(c, idx) {
+		t.Fatal("a written page equals an all-zero page")
+	}
+	// Equal bytes in distinct pages, then a difference in the last byte.
+	d.Write8(addr+16, 0)
+	if !c.SamePage(d, idx) {
+		t.Fatal("byte-equal private and frozen copies differ")
+	}
+	if err := d.WriteBytes(addr+PageSize-1, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if c.SamePage(d, idx) || d.SamePage(c, idx) {
+		t.Fatal("pages differing only in their last byte compare equal")
+	}
+	if !c.SamePage(d, idx+1) {
+		t.Fatal("the next, untouched page differs")
 	}
 }
